@@ -7,6 +7,8 @@
 package coherence
 
 import (
+	"math/bits"
+
 	"syncron/internal/arch"
 	"syncron/internal/network"
 	"syncron/internal/sim"
@@ -14,8 +16,18 @@ import (
 
 // lineState is the directory's view of one cache line.
 type lineState struct {
-	owner   int          // core with M/E copy, -1 if none
-	sharers map[int]bool // cores with S copies
+	owner   int      // core with M/E copy, -1 if none
+	sharers []uint64 // bitset of cores with S copies, indexed by core id
+	nShared int      // number of bits set in sharers
+}
+
+func (l *lineState) shares(core int) bool { return l.sharers[core/64]&(1<<(core%64)) != 0 }
+
+func (l *lineState) addSharer(core int) {
+	if !l.shares(core) {
+		l.sharers[core/64] |= 1 << (core % 64)
+		l.nShared++
+	}
 }
 
 // Space is a coherent address space shared by the cores of a machine. It
@@ -49,7 +61,7 @@ const (
 func (s *Space) line(addr uint64) *lineState {
 	l, ok := s.lines[addr/64]
 	if !ok {
-		l = &lineState{owner: -1, sharers: make(map[int]bool)}
+		l = &lineState{owner: -1, sharers: make([]uint64, (s.m.NumCores()+63)/64)}
 		s.lines[addr/64] = l
 	}
 	return l
@@ -70,7 +82,7 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	if l.owner == core {
 		return t + hit
 	}
-	if !exclusive && l.sharers[core] {
+	if !exclusive && l.shares(core) {
 		return t + hit
 	}
 
@@ -92,32 +104,38 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 		if exclusive {
 			l.owner = -1
 		} else {
-			l.sharers[l.owner] = true
+			l.addSharer(l.owner)
 			l.owner = -1
 		}
-	} else if l.owner < 0 && len(l.sharers) == 0 {
+	} else if l.owner < 0 && l.nShared == 0 {
 		// Clean miss: fetch from memory.
 		s.DirMisses.Inc()
 		dataAt = m.Mems[home].Read(dataAt, addr)
 	}
 
-	if exclusive && len(l.sharers) > 0 {
-		// Invalidate all sharers; completion waits for the slowest ack.
+	if exclusive && l.nShared > 0 {
+		// Invalidate all sharers in ascending core id, so the contending
+		// network transfers are issued in a fixed order; completion waits for
+		// the slowest ack.
 		ackAt := dataAt
-		for sh := range l.sharers {
-			if sh == core {
-				continue
+		for w, word := range l.sharers {
+			for ; word != 0; word &= word - 1 {
+				sh := w*64 + bits.TrailingZeros64(word)
+				if sh == core {
+					continue
+				}
+				s.Invalidations.Inc()
+				su := m.UnitOf(sh)
+				inv := m.Net.Transfer(dataAt, home, su, network.PortCore(m.LocalOf(sh)), arch.MemReqBytes)
+				ack := m.Net.Transfer(inv, su, home, network.PortMemory, arch.MemReqBytes)
+				if ack > ackAt {
+					ackAt = ack
+				}
 			}
-			s.Invalidations.Inc()
-			su := m.UnitOf(sh)
-			inv := m.Net.Transfer(dataAt, home, su, network.PortCore(m.LocalOf(sh)), arch.MemReqBytes)
-			ack := m.Net.Transfer(inv, su, home, network.PortMemory, arch.MemReqBytes)
-			if ack > ackAt {
-				ackAt = ack
-			}
+			l.sharers[w] = 0
 		}
 		dataAt = ackAt
-		l.sharers = map[int]bool{}
+		l.nShared = 0
 	}
 
 	// Data back to the requester.
@@ -125,7 +143,7 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	if exclusive {
 		l.owner = core
 	} else {
-		l.sharers[core] = true
+		l.addSharer(core)
 	}
 	return done
 }
@@ -133,7 +151,7 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 // SharersOf reports how many cores cache addr (tests).
 func (s *Space) SharersOf(addr uint64) int {
 	l := s.line(addr)
-	n := len(l.sharers)
+	n := l.nShared
 	if l.owner >= 0 {
 		n++
 	}

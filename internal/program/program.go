@@ -1,10 +1,11 @@
 // Package program executes per-core "programs" on the simulated machine.
 //
 // A Program is ordinary Go code written in straight-line style against a
-// *Ctx. Each simulated core runs its program on a dedicated goroutine, but
-// the simulation engine performs a strict synchronous handoff: the engine
-// blocks while a program advances to its next operation, so exactly one
-// goroutine is ever runnable and the simulation is fully deterministic.
+// *Ctx. Each simulated core runs its program as an iter.Pull coroutine: the
+// core's engine event resumes the coroutine, which runs the program's host
+// code up to its next operation and yields that operation back. Control
+// passes directly between the event and the program, so one core's host
+// code runs at a time and the simulation is fully deterministic.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
 // before the next one issues.
@@ -12,7 +13,7 @@ package program
 
 import (
 	"fmt"
-	"sync"
+	"iter"
 
 	"syncron/internal/arch"
 	"syncron/internal/sim"
@@ -22,16 +23,22 @@ import (
 type Program func(*Ctx)
 
 // Ctx is the interface a Program uses to interact with the simulated world.
-// All methods must be called from the program's own goroutine.
+// All methods must be called from the program's own body, which runs inside
+// the core's coroutine.
 type Ctx struct {
 	ID   int // global core id
 	Unit int // NDP unit
 	RNG  *sim.RNG
 
-	r   *Runner
-	p   *proc
-	now sim.Time
+	yield func(op) bool // hands the next operation to the core's step event
+	now   sim.Time      // set by resumeFn before the coroutine resumes
 }
+
+// stopped is the panic Ctx.do raises when Run stops a program that never
+// finished (deadlock, MaxEvents, another core's panic); the coroutine body
+// recovers it so the program unwinds quietly. The type is private, so no
+// program can raise it by accident.
+type stopped struct{}
 
 type opKind int
 
@@ -51,11 +58,10 @@ type op struct {
 
 type proc struct {
 	id       int
-	unit     int // NDP unit of the core
-	opCh     chan op
-	resCh    chan sim.Time
-	startCh  chan struct{} // closed by the engine's first step for this core
-	started  bool
+	unit     int  // NDP unit of the core
+	ctx      *Ctx // the program's context; resumeFn stores its resume time
+	next     func() (op, bool)
+	stop     func()
 	done     bool
 	finishAt sim.Time
 
@@ -108,11 +114,12 @@ type Runner struct {
 	// state.
 	//
 	// Legality is a property of the *programs*: host code between two
-	// operations of different cores may run concurrently (with happens-before
-	// edges only through the op channels), so every shared host variable must
-	// be protected by simulated locks/barriers. Workloads that read shared
-	// state outside critical sections (optimistic searches, unlocked reads)
-	// must leave this off — they keep today's serial-barrier behavior, which
+	// operations of different cores may run concurrently (each core's
+	// coroutine resumes on whichever dispatcher worker runs its event, with
+	// happens-before edges only through the dispatcher's event order), so
+	// every shared host variable must be protected by simulated
+	// locks/barriers. Workloads that read shared state outside critical
+	// sections (optimistic searches, unlocked reads) must leave this off — they keep today's serial-barrier behavior, which
 	// is identical on both dispatchers. Must be set before Run.
 	TagCoreUnits bool
 
@@ -122,11 +129,6 @@ type Runner struct {
 	Violations int
 	// PanicOnViolation makes checker failures fatal (default true).
 	PanicOnViolation bool
-
-	// progPanic records the first panic raised by a program goroutine so Run
-	// can re-raise it on its caller's goroutine, where it is recoverable.
-	panicMu   sync.Mutex
-	progPanic any
 }
 
 // NewRunner builds a runner for machine m.
@@ -164,7 +166,9 @@ func (r *Runner) AddN(n int, gen func(i int) Program) {
 }
 
 // Run executes all programs to completion and returns the makespan (the time
-// the last core finished).
+// the last core finished). However Run ends, every program that did not
+// finish is stopped and unwound, so no coroutine outlives the call. A panic
+// raised by a program's host code reaches Run's caller with its value intact.
 func (r *Runner) Run() sim.Time {
 	if r.M.Backend == nil {
 		panic("program: machine has no synchronization backend attached")
@@ -176,15 +180,15 @@ func (r *Runner) Run() sim.Time {
 		if pg == nil {
 			continue
 		}
-		p := &proc{id: i, unit: r.M.UnitOf(i), opCh: make(chan op),
-			resCh: make(chan sim.Time), startCh: make(chan struct{})}
+		c := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork()}
+		p := &proc{id: i, unit: c.Unit, ctx: c}
 		p.eventUnit = -1
 		if r.TagCoreUnits {
 			p.eventUnit = r.M.CoreUnit(i)
 		}
 		p.stepFn = func(ctx *sim.UnitCtx, at sim.Time) { r.step(ctx, p, at) }
 		p.resumeFn = func(ctx *sim.UnitCtx, at sim.Time) {
-			p.resCh <- at
+			p.ctx.now = at
 			r.step(ctx, p, at)
 		}
 		p.memFn = func(ctx *sim.UnitCtx, at sim.Time) {
@@ -207,39 +211,27 @@ func (r *Runner) Run() sim.Time {
 			// barriers with full engine access.
 			r.M.Engine.ScheduleUnit(done, p.eventUnit, p.resumeFn)
 		}
-		r.procs = append(r.procs, p)
-		ctx := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), r: r, p: p}
-		go func(pg Program, ctx *Ctx) {
-			defer close(ctx.p.opCh)
-			// Program code (including the checkers in Ctx) runs on this
-			// goroutine; re-raise its panics on the Run caller's goroutine so
-			// callers can recover them instead of crashing the process.
+		// The program's body, host code before its first operation included,
+		// runs only inside p.next, which the core's first step event calls.
+		// Any panic other than stopped propagates out of p.next unchanged.
+		p.next, p.stop = iter.Pull(func(yield func(op) bool) {
 			defer func() {
 				if v := recover(); v != nil {
-					r.panicMu.Lock()
-					if r.progPanic == nil {
-						r.progPanic = v
+					if _, ok := v.(stopped); !ok {
+						panic(v)
 					}
-					r.panicMu.Unlock()
 				}
 			}()
-			// Host-side code before the program's first simulated operation
-			// must not run until the engine hands this core the turn;
-			// otherwise all cores race on shared host state at launch.
-			<-ctx.p.startCh
-			pg(ctx)
-		}(pg, ctx)
+			c.yield = yield
+			pg(c)
+		})
+		defer p.stop()
+		r.procs = append(r.procs, p)
 	}
 	for _, p := range r.procs {
 		eng.ScheduleUnit(0, p.eventUnit, p.stepFn)
 	}
 	eng.Run()
-	r.panicMu.Lock()
-	progPanic := r.progPanic
-	r.panicMu.Unlock()
-	if progPanic != nil {
-		panic(progPanic)
-	}
 	var makespan sim.Time
 	for _, p := range r.procs {
 		if !p.done {
@@ -261,11 +253,7 @@ func (r *Runner) Run() sim.Time {
 // as barriers and model everything inline, which is byte-identical to the
 // pre-unit-tagging behavior.
 func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
-	if !p.started {
-		p.started = true
-		close(p.startCh)
-	}
-	o, ok := <-p.opCh
+	o, ok := p.next()
 	if !ok {
 		p.done = true
 		p.finishAt = at
@@ -369,8 +357,9 @@ func (r *Runner) violation(format string, args ...any) {
 // ---- Ctx operations ----
 
 func (c *Ctx) do(o op) sim.Time {
-	c.p.opCh <- o
-	c.now = <-c.p.resCh
+	if !c.yield(o) {
+		panic(stopped{})
+	}
 	return c.now
 }
 

@@ -3,8 +3,11 @@ package syncron_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"syncron"
 )
@@ -122,17 +125,56 @@ func (w buggyWorkload) Prepare(sys *syncron.System, _ syncron.WorkloadParams) (*
 	return &syncron.PreparedRun{Ops: 1}, nil
 }
 
-// TestExecuteSurvivesProgramPanic checks that a panic raised on a simulated
-// core's goroutine (checker violations, workload bugs) is captured into
-// RunResult.Err instead of crashing the process, so sweeps survive bad runs.
+// TestExecuteSurvivesProgramPanic checks that a panic raised while a
+// simulated core runs (checker violations, workload bugs) is captured into
+// RunResult.Err instead of crashing the process, so sweeps survive bad runs,
+// and that the aborted run's unfinished programs are unwound, not leaked.
 func TestExecuteSurvivesProgramPanic(t *testing.T) {
-	syncron.RegisterWorkload(buggyWorkload{})
+	if _, ok := syncron.LookupWorkload("test.buggy"); !ok { // -count > 1 reruns
+		syncron.RegisterWorkload(buggyWorkload{})
+	}
+	base := runtime.NumGoroutine()
 	res := syncron.Execute(syncron.RunSpec{
 		Workload: "test.buggy",
 		Config:   syncron.Config{Units: 1, CoresPerUnit: 2},
 	})
 	if res.Err == "" || !strings.Contains(res.Err, "lock") {
 		t.Fatalf("want checker-violation error in RunResult.Err, got %+v", res)
+	}
+	// Parallel-dispatcher workers exit asynchronously once released.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > base {
+		t.Fatalf("goroutines: %d after Execute, %d before", n, base)
+	}
+}
+
+// TestCoherenceLocksDeterministic checks that the coherence-based locks give
+// the same result on every run of the same spec: invalidations go out in a
+// fixed order, so their contending link transfers, and with them the
+// makespan, never vary from run to run.
+func TestCoherenceLocksDeterministic(t *testing.T) {
+	for _, scheme := range []syncron.Scheme{syncron.SchemeMESILock, syncron.SchemeTTAS, syncron.SchemeHTL} {
+		spec := syncron.RunSpec{Workload: "lock", Config: syncron.Config{Scheme: scheme},
+			Params: syncron.WorkloadParams{Rounds: 30}}
+		var first []byte
+		for run := 0; run < 5; run++ {
+			res := syncron.Execute(spec)
+			if res.Err != "" {
+				t.Fatalf("%s: %s", scheme, res.Err)
+			}
+			got, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = got
+			} else if !bytes.Equal(got, first) {
+				t.Fatalf("%s: run %d differs from run 0:\n%s\n%s", scheme, run, got, first)
+			}
+		}
 	}
 }
 
