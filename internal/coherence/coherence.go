@@ -37,6 +37,20 @@ type Space struct {
 	m     *arch.Machine
 	lines map[uint64]*lineState
 
+	// lastLine/last memoize the most recent line lookup: one lock release
+	// touches the same line once per sharer in a row.
+	lastLine uint64
+	last     *lineState
+
+	// Per-core routing and latencies derived once from the machine, whose
+	// shape and clock are fixed: unit[c] and port[c] are core c's NDP unit
+	// and crossbar port, hit the L1 hit latency, dirLookup the directory
+	// lookup latency.
+	unit      []int
+	port      []int
+	hit       sim.Time
+	dirLookup sim.Time
+
 	// Stats.
 	Invalidations sim.Counter
 	Transfers     sim.Counter // cache-to-cache forwards
@@ -45,7 +59,20 @@ type Space struct {
 
 // NewSpace returns a coherent space over machine m.
 func NewSpace(m *arch.Machine) *Space {
-	return &Space{m: m, lines: make(map[uint64]*lineState)}
+	cores := m.NumCores()
+	s := &Space{
+		m:         m,
+		lines:     make(map[uint64]*lineState),
+		unit:      make([]int, cores),
+		port:      make([]int, cores),
+		hit:       m.CoreClock.Cycles(4),
+		dirLookup: m.CoreClock.Cycles(6),
+	}
+	for c := range s.unit {
+		s.unit[c] = m.UnitOf(c)
+		s.port[c] = network.PortCore(m.LocalOf(c))
+	}
+	return s
 }
 
 // AccessKind is the coherence request type.
@@ -58,12 +85,18 @@ const (
 	RMW // atomic read-modify-write (needs exclusive ownership)
 )
 
+// line returns addr's directory entry, creating it on first touch.
 func (s *Space) line(addr uint64) *lineState {
-	l, ok := s.lines[addr/64]
+	key := addr / 64
+	if s.last != nil && s.lastLine == key {
+		return s.last
+	}
+	l, ok := s.lines[key]
 	if !ok {
 		l = &lineState{owner: -1, sharers: make([]uint64, (s.m.NumCores()+63)/64)}
-		s.lines[addr/64] = l
+		s.lines[key] = l
 	}
+	s.lastLine, s.last = key, l
 	return l
 }
 
@@ -75,7 +108,7 @@ func (s *Space) line(addr uint64) *lineState {
 func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.Time {
 	m := s.m
 	l := s.line(addr)
-	hit := m.CoreClock.Cycles(4)
+	hit := s.hit
 	exclusive := kind != Load
 
 	// Hit check.
@@ -87,19 +120,18 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	}
 
 	// Directory transaction at the home unit.
-	unit := m.UnitOf(core)
-	port := network.PortCore(m.LocalOf(core))
+	unit := s.unit[core]
 	home := m.HomeUnit(addr)
 	dirArr := m.Net.Transfer(t+hit, unit, home, network.PortMemory, arch.MemReqBytes)
-	dataAt := dirArr + m.CoreClock.Cycles(6) // directory lookup
+	dataAt := dirArr + s.dirLookup
 
 	if l.owner >= 0 && l.owner != core {
 		// Forward from the owner's cache (cache-to-cache transfer), downgrading
 		// or invalidating the owner.
 		s.Transfers.Inc()
-		oUnit := m.UnitOf(l.owner)
-		fwd := m.Net.Transfer(dataAt, home, oUnit, network.PortCore(m.LocalOf(l.owner)), arch.MemReqBytes)
-		fwd += m.CoreClock.Cycles(4) // owner L1 access
+		oUnit := s.unit[l.owner]
+		fwd := m.Net.Transfer(dataAt, home, oUnit, s.port[l.owner], arch.MemReqBytes)
+		fwd += hit // owner L1 access
 		dataAt = m.Net.Transfer(fwd, oUnit, home, network.PortMemory, arch.MemDataBytes)
 		if exclusive {
 			l.owner = -1
@@ -125,8 +157,8 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 					continue
 				}
 				s.Invalidations.Inc()
-				su := m.UnitOf(sh)
-				inv := m.Net.Transfer(dataAt, home, su, network.PortCore(m.LocalOf(sh)), arch.MemReqBytes)
+				su := s.unit[sh]
+				inv := m.Net.Transfer(dataAt, home, su, s.port[sh], arch.MemReqBytes)
 				ack := m.Net.Transfer(inv, su, home, network.PortMemory, arch.MemReqBytes)
 				if ack > ackAt {
 					ackAt = ack
@@ -139,7 +171,7 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	}
 
 	// Data back to the requester.
-	done := m.Net.Transfer(dataAt, home, unit, port, arch.MemDataBytes)
+	done := m.Net.Transfer(dataAt, home, unit, s.port[core], arch.MemDataBytes)
 	if exclusive {
 		l.owner = core
 	} else {
@@ -148,9 +180,13 @@ func (s *Space) Access(t sim.Time, core int, addr uint64, kind AccessKind) sim.T
 	return done
 }
 
-// SharersOf reports how many cores cache addr (tests).
+// SharersOf reports how many cores cache addr (tests). It is read-only: a
+// line no core has touched reports 0 and gets no directory entry.
 func (s *Space) SharersOf(addr uint64) int {
-	l := s.line(addr)
+	l, ok := s.lines[addr/64]
+	if !ok {
+		return 0
+	}
 	n := l.nShared
 	if l.owner >= 0 {
 		n++

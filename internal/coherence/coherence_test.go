@@ -89,3 +89,40 @@ func TestDirMissFetchesMemory(t *testing.T) {
 	}
 	var _ sim.Time
 }
+
+// SharersOf is a stats query: asking about a line no core has touched must
+// report 0 without creating a directory entry, so a later access to that
+// line is still a clean miss.
+func TestSharersOfIsReadOnly(t *testing.T) {
+	s, m := newSpace()
+	a := m.Alloc(0, 64)
+	b := m.Alloc(1, 64)
+	s.Access(0, 0, a, Load)
+	if n := s.SharersOf(b); n != 0 {
+		t.Fatalf("untouched line sharers = %d, want 0", n)
+	}
+	if len(s.lines) != 1 {
+		t.Fatalf("directory has %d entries after a query, want 1", len(s.lines))
+	}
+	s.Access(0, 1, b, Load)
+	if s.DirMisses.Value() != 2 {
+		t.Fatalf("dir misses = %d, want 2 (queried line fetched from memory)", s.DirMisses.Value())
+	}
+}
+
+// Interleaved accesses to two lines must keep their directory state apart
+// (line lookups memoize the most recent line).
+func TestInterleavedLinesStayApart(t *testing.T) {
+	s, m := newSpace()
+	a := m.Alloc(0, 64)
+	b := m.Alloc(0, 64)
+	tt := s.Access(0, 0, a, Store)
+	tt = s.Access(tt, 1, b, Load)
+	tt = s.Access(tt, 2, b, Load)
+	if s.SharersOf(a) != 1 || s.SharersOf(b) != 2 {
+		t.Fatalf("sharers a=%d b=%d, want 1 and 2", s.SharersOf(a), s.SharersOf(b))
+	}
+	if got := s.Access(tt, 0, a, Load) - tt; got != m.CoreClock.Cycles(4) {
+		t.Fatalf("owner reload of a = %v, want hit latency", got)
+	}
+}

@@ -15,6 +15,12 @@
 // bits moved inside NDP units vs across them, and the corresponding energy
 // (0.4 pJ/bit/hop intra-unit; 4 pJ/bit per inter-unit link traversed, so
 // multi-hop topologies pay energy per actual route length).
+//
+// A Network's Config is fixed once New returns. New derives the per-message
+// constants from it — the crossbar and link fixed latencies and the
+// serialization time of every small message size — so the per-message path
+// does no division and no Config copy. A future setter that changes the
+// Config must rebuild them.
 package network
 
 import (
@@ -88,6 +94,15 @@ type Network struct {
 	units int
 	nodes int // units plus topology switch nodes (Star hub)
 
+	// Per-message constants derived from cfg by New (see the package doc):
+	// xbarFixed is the crossbar's arbiter-plus-hops latency, linkFixed a
+	// link's fixed latency, and xbarSer[b] / linkSer[b] the crossbar and link
+	// serialization times of a b-byte message, for b < serTableBytes.
+	xbarFixed sim.Time
+	linkFixed sim.Time
+	xbarSer   [serTableBytes]sim.Time
+	linkSer   [serTableBytes]sim.Time
+
 	// Crossbar output-port occupancy, densely indexed [unit][portIndex];
 	// portIndex remaps the sparse port-id space (cores >= 0, PortSE,
 	// PortMemory, link egress ports) into a contiguous range — see portIndex.
@@ -133,11 +148,13 @@ func New(cfg Config, topo Topology) *Network {
 			}
 		}
 	}
-	return &Network{
+	n := &Network{
 		cfg:       cfg,
 		topo:      topo,
 		units:     units,
 		nodes:     nodes,
+		xbarFixed: cfg.CoreClock.Cycles(cfg.ArbiterCycles + cfg.HopCycles*cfg.Hops),
+		linkFixed: cfg.LinkLatency + cfg.CoreClock.Cycles(cfg.LinkFixedCycles),
 		xbarBusy:  make([][]sim.Time, units),
 		linkBusy:  make([]sim.Time, nodes*nodes),
 		linkBits:  make([]uint64, nodes*nodes),
@@ -145,6 +162,11 @@ func New(cfg Config, topo Topology) *Network {
 		intraBits: make([]uint64, units),
 		intraMsgs: make([]uint64, units),
 	}
+	for b := range n.xbarSer {
+		n.xbarSer[b] = xbarSerialization(b, &cfg)
+		n.linkSer[b] = linkSerialization(b, cfg.LinkBytesPerSec)
+	}
+	return n
 }
 
 // NewAllToAll builds the default full point-to-point interconnect for n
@@ -208,16 +230,31 @@ func (n *Network) busySlot(unit, port int) *sim.Time {
 	return &row[idx]
 }
 
-// IntraDelay computes the arrival time of a message of size bytes injected at
-// time t inside unit, destined for local endpoint dstPort (an arbitrary id
-// used for queueing separation: core index, -1 for SE, -2 for memory).
-func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
-	cfg := n.cfg
+// serTableBytes bounds the message sizes whose serialization times New
+// tabulates: every size the machine sends (16 to 72 bytes) and the sizes of
+// BenchmarkTransfer. Larger messages fall back to the formulas.
+const serTableBytes = 128
+
+// xbarSerialization is the time a message of size bytes occupies a crossbar
+// port: one cycle per started flit, at least one.
+func xbarSerialization(bytes int, cfg *Config) sim.Time {
 	flits := int64((bytes + cfg.FlitBytes - 1) / cfg.FlitBytes)
 	if flits < 1 {
 		flits = 1
 	}
-	ser := cfg.CoreClock.Cycles(flits)
+	return cfg.CoreClock.Cycles(flits)
+}
+
+// IntraDelay computes the arrival time of a message of size bytes injected at
+// time t inside unit, destined for local endpoint dstPort (an arbitrary id
+// used for queueing separation: core index, -1 for SE, -2 for memory).
+func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
+	var ser sim.Time
+	if uint(bytes) < serTableBytes {
+		ser = n.xbarSer[bytes]
+	} else {
+		ser = xbarSerialization(bytes, &n.cfg)
+	}
 	start := t
 	slot := n.busySlot(unit, dstPort)
 	if *slot > start {
@@ -226,7 +263,7 @@ func (n *Network) IntraDelay(t sim.Time, unit, dstPort, bytes int) sim.Time {
 	*slot = start + ser
 	n.intraBits[unit] += uint64(bytes * 8)
 	n.intraMsgs[unit]++
-	return start + ser + cfg.CoreClock.Cycles(cfg.ArbiterCycles+cfg.HopCycles*cfg.Hops)
+	return start + ser + n.xbarFixed
 }
 
 // IntraBits returns the total bits moved inside NDP units (summed over the
@@ -268,8 +305,12 @@ func linkSerialization(bytes int, bytesPerSec int64) sim.Time {
 // linkDelay computes the arrival time at l.Dst of a message of size bytes
 // entering link l at time t, and accounts the link's traffic.
 func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
-	cfg := n.cfg
-	ser := linkSerialization(bytes, cfg.LinkBytesPerSec)
+	var ser sim.Time
+	if uint(bytes) < serTableBytes {
+		ser = n.linkSer[bytes]
+	} else {
+		ser = linkSerialization(bytes, n.cfg.LinkBytesPerSec)
+	}
 	slot := &n.linkBusy[l.Src*n.nodes+l.Dst]
 	start := t
 	if *slot > start {
@@ -287,7 +328,7 @@ func (n *Network) linkDelay(t sim.Time, l Link, bytes int) sim.Time {
 			Where: n.linkNames[l.Src*n.nodes+l.Dst], What: trace.WhatLinkXfer,
 			Value: float64(bytes), Unit: "bytes"})
 	}
-	return start + ser + cfg.LinkLatency + cfg.CoreClock.Cycles(cfg.LinkFixedCycles)
+	return start + ser + n.linkFixed
 }
 
 // InterDelay computes the arrival time at unit dst of a message of size bytes
