@@ -44,6 +44,11 @@
 //	curl -s localhost:8080/jobs/<id>/events       # NDJSON progress stream
 //	curl -s localhost:8080/jobs/<id>/result       # byte-identical to run -json
 //
+// Host profiling (run, sweep and figures; pprof format, results unchanged):
+//
+//	syncron-sim run -workload pr.wk -cpuprofile cpu.prof -memprofile mem.prof
+//	syncron-sim figures --quick -cpuprofile figures.prof
+//
 // Discovery:
 //
 //	syncron-sim list
@@ -61,6 +66,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -207,6 +214,7 @@ func runCmd(args []string) {
 		traceOut  = fs.String("trace", "", "write a time-resolved trace CSV of the run to this path; output is byte-identical at any -parallel setting")
 	)
 	cfg, _, topology, memModel, _ := configFlags(fs)
+	startProfiles := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	spec := syncron.RunSpec{
@@ -250,7 +258,9 @@ func runCmd(args []string) {
 	// same serialization — so `run -json`, `sweep`, and a serve job of the
 	// same spec are byte-interchangeable. The tracer never perturbs this: it
 	// is excluded from SpecKey and serialized output.
+	stopProfiles := startProfiles()
 	res := syncron.SpecRunner{}.Run([]syncron.RunSpec{spec})[0]
+	stopProfiles()
 	if *jsonOut != "" {
 		if *jsonOut == "-" {
 			if err := syncron.WriteJSON(os.Stdout, []syncron.RunResult{res}); err != nil {
@@ -268,6 +278,53 @@ func runCmd(args []string) {
 	}
 	if *jsonOut != "-" {
 		report(res)
+	}
+}
+
+// profileFlags registers -cpuprofile and -memprofile on fs. Once fs is
+// parsed, the returned function starts the CPU profile and returns the
+// function that stops it and writes the heap profile; a subcommand brackets
+// its simulation with the pair. Profiling never changes results.
+func profileFlags(fs *flag.FlagSet) (start func() (stop func())) {
+	cpuPath := fs.String("cpuprofile", "", "write a CPU profile (pprof format) of the simulation to this file")
+	memPath := fs.String("memprofile", "", "write a heap profile (pprof format) to this file once the simulation ends")
+	return func() func() {
+		var cpuFile *os.File
+		if *cpuPath != "" {
+			f, err := os.Create(*cpuPath)
+			if err != nil {
+				fatal("%v", err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				fatal("starting CPU profile: %v", err)
+			}
+			cpuFile = f
+		}
+		return func() {
+			if cpuFile != nil {
+				pprof.StopCPUProfile()
+				if err := cpuFile.Close(); err != nil {
+					fatal("closing %s: %v", *cpuPath, err)
+				}
+			}
+			if *memPath == "" {
+				return
+			}
+			f, err := os.Create(*memPath)
+			if err != nil {
+				fatal("%v", err)
+			}
+			// The heap profile is as of the last completed collection; run one
+			// so it includes the simulation's final allocations.
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				f.Close()
+				fatal("writing %s: %v", *memPath, err)
+			}
+			if err := f.Close(); err != nil {
+				fatal("closing %s: %v", *memPath, err)
+			}
+		}
 	}
 }
 
@@ -410,6 +467,7 @@ func sweepCmd(args []string) {
 		traceDir  = fs.String("trace", "", "write one time-resolved trace CSV per run into this directory; incompatible with -cache/-shard (a cached run skips the simulation a trace observes)")
 	)
 	cfg, cores, topology, memModel, parallel := configFlags(fs)
+	startProfiles := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	runner := syncron.SpecRunner{
@@ -516,7 +574,9 @@ func sweepCmd(args []string) {
 	} else {
 		fmt.Fprintf(os.Stderr, "syncron-sim: sweeping %d runs (%s)\n", len(specs), gridName)
 	}
+	stopProfiles := startProfiles()
 	results := runner.Run(specs)
+	stopProfiles()
 	reportCacheStats(cache)
 
 	if *traceDir != "" {
@@ -573,6 +633,7 @@ func figuresCmd(args []string) {
 		fromDir   = fs.String("from", "", "render purely from this cache directory; any missing run is an error (zero simulation)")
 		traceDir  = fs.String("trace", "", "add the time-resolved trace figure and write its per-workload trace/view CSVs into this directory; the traced grid always simulates (it bypasses -cache)")
 	)
+	startProfiles := profileFlags(fs)
 	_ = fs.Parse(args) // ExitOnError: Parse never returns an error
 
 	base, err := syncron.ParseScheme(*baseline)
@@ -618,7 +679,9 @@ func figuresCmd(args []string) {
 		opt.Workloads = append(opt.Workloads, name)
 	}
 
+	stopProfiles := startProfiles()
 	figs, err := syncron.Figures(opt)
+	stopProfiles()
 	if err != nil {
 		fatal("%v", err)
 	}

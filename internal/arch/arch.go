@@ -147,8 +147,9 @@ func NewMachine(cfg Config) *Machine {
 		m.allocNext[u] = mem.Line // keep address 0 unused
 		m.allocNextU[u] = mem.Line
 	}
-	for c := 0; c < cfg.Units*cfg.CoresPerUnit; c++ {
-		m.Caches = append(m.Caches, cache.New(m.cacheCfg))
+	m.Caches = make([]*cache.Cache, cfg.Units*cfg.CoresPerUnit)
+	for c := range m.Caches {
+		m.Caches[c] = cache.New(m.cacheCfg)
 	}
 	if cfg.Tracer != nil {
 		m.Tracer = cfg.Tracer

@@ -5,6 +5,14 @@
 // shared read-only data may be cached; shared read-write data bypasses the
 // cache entirely. The cacheability decision is made by the caller (the
 // machine model knows the sharing class of each allocation).
+//
+// A cache keeps its ways in one flat, pointer-free array (set s holds ways
+// s*Ways through s*Ways+Ways-1), 16 bytes per way, and allocates it on the
+// first Access. A machine builds one L1 per core, and many runs never touch
+// most of them (synchronization-only specs touch none), so an untouched
+// cache costs only its header and gives the garbage collector nothing to
+// scan. Probe, Contains, Flush and Stats answer an untouched cache as all
+// ways invalid, without allocating.
 package cache
 
 import "syncron/internal/sim"
@@ -42,34 +50,53 @@ func (s *Stats) EnergyPJ(cfg Config) float64 {
 	return float64(s.Hits.Value())*cfg.HitEnergyPJ + float64(s.Misses.Value())*cfg.MissEnergyPJ
 }
 
+// way is one cache way: the line's tag, and meta = lastUse<<1 | dirty, where
+// lastUse is the access tick that last touched the line. meta 0 means the
+// way is invalid; every Access advances the tick to at least 1 before
+// storing it, so a valid way never has meta 0. Valid ways hold distinct
+// ticks, so comparing meta orders them by last use.
 type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
+	tag  uint64
+	meta uint64
 }
+
+func (w way) valid() bool { return w.meta != 0 }
+func (w way) dirty() bool { return w.meta&1 != 0 }
 
 // Cache is a single L1 cache instance.
 type Cache struct {
 	cfg   Config
-	sets  [][]way
+	ways  []way // set s occupies ways[s*nways : (s+1)*nways]; nil until the first Access
 	nsets uint64
+	nways int
 	ticks uint64
 	Stats Stats
 }
 
-// New builds a cache from cfg.
+// New builds a cache from cfg. The ways are allocated on the first Access,
+// so a cache that is never accessed costs only its header.
 func New(cfg Config) *Cache {
 	nsets := cfg.SizeBytes / (LineSize * cfg.Ways)
 	if nsets <= 0 {
 		nsets = 1
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
+	return &Cache{cfg: cfg, nsets: uint64(nsets), nways: cfg.Ways}
+}
+
+// locate splits addr into its set index and tag.
+func (c *Cache) locate(addr uint64) (set, tag uint64) {
+	line := addr / LineSize
+	return line % c.nsets, line / c.nsets
+}
+
+// setWays returns the ways of set, or nil while the cache is untouched (an
+// untouched cache reads as all ways invalid).
+func (c *Cache) setWays(set uint64) []way {
+	if c.ways == nil {
+		return nil
 	}
-	return &Cache{cfg: cfg, sets: sets, nsets: uint64(nsets)}
+	base := int(set) * c.nways
+	return c.ways[base : base+c.nways : base+c.nways]
 }
 
 // Result reports the outcome of a cache access.
@@ -85,39 +112,68 @@ type Result struct {
 // allocated (write-allocate) and the victim is reported.
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.ticks++
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			ws[i].lru = c.ticks
-			if write {
-				ws[i].dirty = true
-			}
+	if c.ways == nil {
+		c.ways = make([]way, int(c.nsets)*c.nways)
+	}
+	set, tag := c.locate(addr)
+	meta := c.ticks << 1
+	if write {
+		meta |= 1
+	}
+	// The hit loop indexes the flat array directly: slicing out the set
+	// first measurably slows the hit path, the cache's hottest.
+	ways, base := c.ways, int(set)*c.nways
+	for i := base; i < base+c.nways; i++ {
+		if ways[i].valid() && ways[i].tag == tag {
+			ways[i].meta = meta | ways[i].meta&1
 			c.Stats.Hits.Inc()
 			return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
 		}
 	}
-	// Miss: pick the LRU way (or an invalid one).
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-		if ws[victim].valid && ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	res := Result{LatencyCycles: c.cfg.HitCycles}
-	if ws[victim].valid && ws[victim].dirty {
-		res.Writeback = true
-		res.VictimAddr = (ws[victim].tag*c.nsets + set) * LineSize
+	ws := ways[base : base+c.nways]
+	victim := pickVictim(ws)
+	res := c.missResult(ws, victim, set)
+	if res.Writeback {
 		c.Stats.Writebacks.Inc()
 	}
-	ws[victim] = way{tag: tag, valid: true, dirty: write, lru: c.ticks}
+	ws[victim] = way{tag: tag, meta: meta}
 	c.Stats.Misses.Inc()
+	return res
+}
+
+// lookup returns the index of the valid way in ws holding tag, or -1.
+func lookup(ws []way, tag uint64) int {
+	for i := range ws {
+		if ws[i].valid() && ws[i].tag == tag {
+			return i
+		}
+	}
+	return -1
+}
+
+// pickVictim returns the way a miss in ws fills: the first invalid way
+// after way 0, else way 0 if it is invalid, else the least recently used
+// way. An untouched cache's nil set has nothing to evict and yields 0.
+func pickVictim(ws []way) int {
+	victim := 0
+	for i := 1; i < len(ws); i++ {
+		if !ws[i].valid() {
+			return i
+		}
+		if ws[victim].valid() && ws[i].meta < ws[victim].meta {
+			victim = i
+		}
+	}
+	return victim
+}
+
+// missResult is the Result of a miss in set that evicts ws[victim].
+func (c *Cache) missResult(ws []way, victim int, set uint64) Result {
+	res := Result{LatencyCycles: c.cfg.HitCycles}
+	if len(ws) > 0 && ws[victim].dirty() {
+		res.Writeback = true
+		res.VictimAddr = (ws[victim].tag*c.nsets + set) * LineSize
+	}
 	return res
 }
 
@@ -128,31 +184,12 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // outcome; the program layer uses this to decide which simulation unit owns
 // the rest of the access before performing it.
 func (c *Cache) Probe(addr uint64, write bool) Result {
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	ws := c.sets[set]
-	for i := range ws {
-		if ws[i].valid && ws[i].tag == tag {
-			return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
-		}
+	set, tag := c.locate(addr)
+	ws := c.setWays(set)
+	if lookup(ws, tag) >= 0 {
+		return Result{Hit: true, LatencyCycles: c.cfg.HitCycles}
 	}
-	victim := 0
-	for i := 1; i < len(ws); i++ {
-		if !ws[i].valid {
-			victim = i
-			break
-		}
-		if ws[victim].valid && ws[i].lru < ws[victim].lru {
-			victim = i
-		}
-	}
-	res := Result{LatencyCycles: c.cfg.HitCycles}
-	if ws[victim].valid && ws[victim].dirty {
-		res.Writeback = true
-		res.VictimAddr = (ws[victim].tag*c.nsets + set) * LineSize
-	}
-	return res
+	return c.missResult(ws, pickVictim(ws), set)
 }
 
 // Bypass records an uncacheable access for statistics.
@@ -160,28 +197,19 @@ func (c *Cache) Bypass() { c.Stats.Bypasses.Inc() }
 
 // Contains reports whether the line holding addr is resident (for tests).
 func (c *Cache) Contains(addr uint64) bool {
-	line := addr / LineSize
-	set := line % c.nsets
-	tag := line / c.nsets
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	set, tag := c.locate(addr)
+	return lookup(c.setWays(set), tag) >= 0
 }
 
 // Flush invalidates the whole cache, returning the number of dirty lines
 // dropped (the model does not simulate flush traffic; used between phases).
 func (c *Cache) Flush() int {
 	dirty := 0
-	for _, ws := range c.sets {
-		for i := range ws {
-			if ws[i].valid && ws[i].dirty {
-				dirty++
-			}
-			ws[i] = way{}
+	for i := range c.ways {
+		if c.ways[i].dirty() {
+			dirty++
 		}
+		c.ways[i] = way{}
 	}
 	return dirty
 }

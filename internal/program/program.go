@@ -95,7 +95,7 @@ type proc struct {
 type Runner struct {
 	M     *arch.Machine
 	procs []*proc
-	progs map[int]Program
+	progs []Program // indexed by global core id; nil where no program is registered
 	next  int
 
 	// CheckLocks enables the built-in mutual-exclusion checker (on by
@@ -134,13 +134,13 @@ type Runner struct {
 // NewRunner builds a runner for machine m.
 func NewRunner(m *arch.Machine) *Runner {
 	return &Runner{M: m, CheckLocks: true, PanicOnViolation: true,
-		holders: make(map[uint64]int), progs: make(map[int]Program)}
+		holders: make(map[uint64]int), progs: make([]Program, m.NumCores())}
 }
 
 // Add registers a program for the next free core. It panics if more programs
 // are added than the machine has cores.
 func (r *Runner) Add(p Program) {
-	for r.progs[r.next] != nil {
+	for r.next < len(r.progs) && r.progs[r.next] != nil {
 		r.next++
 	}
 	r.AddAt(r.next, p)
@@ -175,8 +175,7 @@ func (r *Runner) Run() sim.Time {
 	}
 	r.M.Backend.Attach(r.M)
 	eng := r.M.Engine
-	for i := 0; i < r.M.NumCores(); i++ {
-		pg := r.progs[i]
+	for i, pg := range r.progs {
 		if pg == nil {
 			continue
 		}
