@@ -113,7 +113,7 @@ func (c *Coordinator) masterBarrierCoreArrive(t sim.Time, addr uint64, n int, re
 	ms := c.master(addr)
 	c.masterHold(t, ms)
 	if ref.relay != nil {
-		ms.overflowSEs[ref.relay] = true
+		ms.markOverflow(ref.relay)
 		c.masterNode(addr).memEnter(addr)
 	}
 	if c.masterNode(addr).viaMemory(addr) {

@@ -145,7 +145,7 @@ func (c *Coordinator) masterLockCoreAcquire(t sim.Time, core int, addr uint64, d
 	if relay != nil {
 		// §4.3.2: both the overflowed SE and the master service the variable
 		// via memory and track it in their indexing counters.
-		ms.overflowSEs[relay] = true
+		ms.markOverflow(relay)
 		c.masterNode(addr).memEnter(addr)
 	}
 	if c.masterNode(addr).viaMemory(addr) || ms.fallback {

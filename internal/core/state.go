@@ -1,6 +1,10 @@
 package core
 
-import "syncron/internal/sim"
+import (
+	"math/bits"
+
+	"syncron/internal/sim"
+)
 
 // holderRef identifies who holds or waits for a lock at the master: either a
 // whole local SE (node-level, aggregated) or a single core (flat/central
@@ -31,7 +35,9 @@ type masterState struct {
 	refHeld  bool // master node holds an ST entry for this variable
 	fallback bool // MiSAR-style software fallback active (Figure 23)
 
-	overflowSEs map[*node]bool // local SEs redirected into overflow mode
+	// overflowSEs is a bitset over units: bit u is set while unit u's
+	// local SE is redirected into overflow mode for this variable.
+	overflowSEs []uint64
 
 	// lock
 	lockHeld bool
@@ -54,6 +60,16 @@ type masterState struct {
 	rmwValue uint64
 
 	next *masterState // freelist link (see pool.go)
+}
+
+// markOverflow records that local SE se was redirected into overflow mode
+// for the variable.
+func (ms *masterState) markOverflow(se *node) {
+	w := se.unit / 64
+	for len(ms.overflowSEs) <= w {
+		ms.overflowSEs = append(ms.overflowSEs, 0)
+	}
+	ms.overflowSEs[w] |= 1 << (se.unit % 64)
 }
 
 func (ms *masterState) idle() bool {
@@ -94,7 +110,7 @@ func (c *Coordinator) master(addr uint64) *masterState {
 			ms.next = nil
 			ms.addr = addr
 		} else {
-			ms = &masterState{addr: addr, overflowSEs: make(map[*node]bool)}
+			ms = &masterState{addr: addr}
 		}
 		c.vars[addr] = ms
 	}
@@ -136,12 +152,17 @@ func (c *Coordinator) masterFree(t sim.Time, ms *masterState) {
 	if n.memVars != nil && n.memVars[ms.addr] {
 		n.memExit(ms.addr)
 	}
-	for se := range ms.overflowSEs {
-		// decrease_indexing_counter message to the overflowed SE.
-		o := c.op(opMemExit)
-		o.nd, o.addr = se, ms.addr
-		c.nodeToNode(t, n, se, ms.addr, o.fn)
-		delete(ms.overflowSEs, se)
+	// decrease_indexing_counter messages to the overflowed SEs, in unit
+	// order: the transfers can contend for links, so their order is part of
+	// the result.
+	for w, set := range ms.overflowSEs {
+		for ; set != 0; set &= set - 1 {
+			se := c.nodes[w*64+bits.TrailingZeros64(set)]
+			o := c.op(opMemExit)
+			o.nd, o.addr = se, ms.addr
+			c.nodeToNode(t, n, se, ms.addr, o.fn)
+		}
+		ms.overflowSEs[w] = 0
 	}
 	if ms.fallback {
 		c.exitFallback(t, ms)

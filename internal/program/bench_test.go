@@ -30,6 +30,34 @@ func BenchmarkProgramOps(b *testing.B) {
 	b.ReportMetric(float64(opsPerRun), "ops/run")
 }
 
+// BenchmarkProgramOpsBatched is BenchmarkProgramOps with the operations
+// issued in batches of batchOps (Ctx.Begin/End): one coroutine switch per
+// batch instead of one per operation. The gap between the two is what a
+// batch saves per operation; the per-core buffer is reused, so batching adds
+// no allocation per operation (TestBatchOpsAllocFree pins that).
+func BenchmarkProgramOpsBatched(b *testing.B) {
+	const opsPerRun, batchOps = 4096, 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		m := arch.NewMachine(arch.Config{Units: 2, CoresPerUnit: 2})
+		m.Backend = &instantBackend{}
+		r := NewRunner(m)
+		for c := 0; c < m.NumCores(); c++ {
+			r.Add(func(ctx *Ctx) {
+				for k := 0; k < opsPerRun/4/batchOps; k++ {
+					ctx.Begin()
+					for j := 0; j < batchOps; j++ {
+						ctx.Compute(10)
+					}
+					ctx.End()
+				}
+			})
+		}
+		r.Run()
+	}
+	b.ReportMetric(float64(opsPerRun), "ops/run")
+}
+
 // BenchmarkProgramSyncOps measures the sync-request round trip through a
 // minimal backend (request, grant callback, zero-delay resume).
 func BenchmarkProgramSyncOps(b *testing.B) {

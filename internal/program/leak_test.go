@@ -22,7 +22,8 @@ func runRecovered(r *Runner) (v any) {
 // TestRunLeavesNoGoroutines checks that runs ending by deadlock, by the
 // engine's MaxEvents cap or by a program's panic unwind every program that
 // did not finish, on both dispatchers, and that a program's panic value
-// reaches Run's caller unchanged.
+// reaches Run's caller unchanged. Each ending is also reached with the
+// programs inside a batch (Ctx.Begin/End).
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{0, 2} {
@@ -73,6 +74,59 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			})
 			if v := runRecovered(r); v != bug {
 				t.Fatalf("workers=%d: panicking run re-raised %#v, want %#v", workers, v, bug)
+			}
+
+			// The same three endings inside batches: the deadlocked cores
+			// queue on the lock midway through a batch, the cap and the
+			// panic strike with batch operations still queued.
+			r = newR()
+			lock = r.M.Alloc(0, 64)
+			r.AddN(4, func(int) Program {
+				return func(ctx *Ctx) {
+					ctx.Begin()
+					ctx.Compute(10)
+					ctx.Lock(lock)
+					ctx.Compute(10)
+					ctx.End()
+				}
+			})
+			if v, _ := runRecovered(r).(string); !strings.Contains(v, "deadlocked") {
+				t.Fatalf("workers=%d: deadlocked batched run panicked with %q", workers, v)
+			}
+
+			r = newR()
+			r.M.Engine.MaxEvents = 50
+			r.AddN(4, func(int) Program {
+				return func(ctx *Ctx) {
+					for k := 0; k < 100; k++ {
+						ctx.Begin()
+						for j := 0; j < 10; j++ {
+							ctx.Compute(10)
+						}
+						ctx.End()
+					}
+				}
+			})
+			if v, _ := runRecovered(r).(string); !strings.Contains(v, "MaxEvents") {
+				t.Fatalf("workers=%d: capped batched run panicked with %q", workers, v)
+			}
+
+			r = newR()
+			r.AddN(4, func(i int) Program {
+				return func(ctx *Ctx) {
+					for k := 0; k < 1000; k++ {
+						ctx.Begin()
+						ctx.Compute(10)
+						if i == bug.core && k == 5 {
+							panic(bug)
+						}
+						ctx.Compute(10)
+						ctx.End()
+					}
+				}
+			})
+			if v := runRecovered(r); v != bug {
+				t.Fatalf("workers=%d: panicking batched run re-raised %#v, want %#v", workers, v, bug)
 			}
 		}
 	}

@@ -5,7 +5,9 @@
 // core's engine event resumes the coroutine, which runs the program's host
 // code up to its next operation and yields that operation back. Control
 // passes directly between the event and the program, so one core's host
-// code runs at a time and the simulation is fully deterministic.
+// code runs at a time and the simulation is fully deterministic. A program
+// may batch straight-line operations (Ctx.Begin … Ctx.End) to hand them over
+// in one switch; see Begin for the rule that makes a batch legal.
 //
 // Cores are in-order and blocking (paper §5): each operation completes
 // before the next one issues.
@@ -14,6 +16,7 @@ package program
 import (
 	"fmt"
 	"iter"
+	"sync/atomic"
 
 	"syncron/internal/arch"
 	"syncron/internal/sim"
@@ -30,8 +33,20 @@ type Ctx struct {
 	Unit int // NDP unit
 	RNG  *sim.RNG
 
-	yield func(op) bool // hands the next operation to the core's step event
+	yield func(op) bool // handoff, or queue inside a batch
 	now   sim.Time      // set by resumeFn before the coroutine resumes
+
+	// handoff is the coroutine's yield: it hands an operation to the core's
+	// step event. Between Begin and End (batching), yield is queue, which
+	// appends to buf; buf is reused from batch to batch, and the core's step
+	// event models buf[pos:] one at a time before it resumes the coroutine.
+	handoff  func(op) bool
+	queue    func(op) bool
+	batching bool
+	buf      []op
+	pos      int
+
+	noBatches bool // Begin and End do nothing (SetBatches, read once per run)
 }
 
 // stopped is the panic Ctx.do raises when Run stops a program that never
@@ -49,10 +64,11 @@ const (
 	opSync
 )
 
+// op is one operation a program issues. Batches queue ops by value, so it
+// is kept to six words.
 type op struct {
 	kind opKind
-	n    int64
-	addr uint64
+	arg  uint64 // instructions (opCompute) or address (opRead, opWrite)
 	req  arch.SyncReq
 }
 
@@ -179,7 +195,7 @@ func (r *Runner) Run() sim.Time {
 		if pg == nil {
 			continue
 		}
-		c := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork()}
+		c := &Ctx{ID: i, Unit: r.M.UnitOf(i), RNG: r.M.RNG.Fork(), noBatches: batchesOff.Load()}
 		p := &proc{id: i, unit: c.Unit, ctx: c}
 		p.eventUnit = -1
 		if r.TagCoreUnits {
@@ -192,7 +208,7 @@ func (r *Runner) Run() sim.Time {
 		}
 		p.memFn = func(ctx *sim.UnitCtx, at sim.Time) {
 			o := p.pend
-			fin := r.M.CoreAccess(at, p.id, o.addr, o.kind == opWrite)
+			fin := r.M.CoreAccess(at, p.id, o.arg, o.kind == opWrite)
 			ctx.Schedule(fin, p.eventUnit, p.resumeFn)
 		}
 		p.syncFn = func(_ *sim.UnitCtx, at sim.Time) { r.issueSync(p, at) }
@@ -221,8 +237,12 @@ func (r *Runner) Run() sim.Time {
 					}
 				}
 			}()
-			c.yield = yield
+			c.handoff, c.yield = yield, yield
 			pg(c)
+			if c.batching {
+				panic(fmt.Sprintf("program: core %d returned with a batch of %d operations still open (missing End)",
+					c.ID, len(c.buf)))
+			}
 		})
 		defer p.stop()
 		r.procs = append(r.procs, p)
@@ -251,17 +271,27 @@ func (r *Runner) Run() sim.Time {
 // accesses and synchronization requests. Untagged cores (eventUnit < 0) run
 // as barriers and model everything inline, which is byte-identical to the
 // pre-unit-tagging behavior.
+//
+// While the core's Ctx holds a batch (see Ctx.End), step takes the next
+// operation from the batch and does not resume the coroutine, so each
+// operation is modelled by the same event at the same time as unbatched.
 func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
-	o, ok := p.next()
-	if !ok {
-		p.done = true
-		p.finishAt = at
-		return
+	var o op
+	if c := p.ctx; c.pos < len(c.buf) {
+		o = c.buf[c.pos]
+		c.pos++
+	} else {
+		var ok bool
+		if o, ok = p.next(); !ok {
+			p.done = true
+			p.finishAt = at
+			return
+		}
 	}
 	switch o.kind {
 	case opCompute:
-		p.Instrs += uint64(o.n)
-		ctx.Schedule(at+r.M.CoreClock.Cycles(o.n), p.eventUnit, p.resumeFn)
+		p.Instrs += o.arg
+		ctx.Schedule(at+r.M.CoreClock.Cycles(int64(o.arg)), p.eventUnit, p.resumeFn)
 	case opRead, opWrite:
 		write := o.kind == opWrite
 		if write {
@@ -270,13 +300,13 @@ func (r *Runner) step(ctx *sim.UnitCtx, p *proc, at sim.Time) {
 			p.Reads++
 		}
 		if p.eventUnit < 0 {
-			ctx.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.eventUnit, p.resumeFn)
+			ctx.Schedule(r.M.CoreAccess(at, p.id, o.arg, write), p.eventUnit, p.resumeFn)
 			return
 		}
-		switch r.M.ClassifyCoreAccess(p.id, o.addr, write) {
+		switch r.M.ClassifyCoreAccess(p.id, o.arg, write) {
 		case arch.AccessL1Hit:
 			// The hit path touches only the core's own L1; model it here.
-			ctx.Schedule(r.M.CoreAccess(at, p.id, o.addr, write), p.eventUnit, p.resumeFn)
+			ctx.Schedule(r.M.CoreAccess(at, p.id, o.arg, write), p.eventUnit, p.resumeFn)
 		case arch.AccessOwnUnit:
 			p.pend = o
 			ctx.Schedule(at, r.M.ResourceUnit(p.unit), p.memFn)
@@ -355,29 +385,98 @@ func (r *Runner) violation(format string, args ...any) {
 
 // ---- Ctx operations ----
 
-func (c *Ctx) do(o op) sim.Time {
+// do hands o to the core's step event and returns once it is modelled, or
+// queues it while a batch is open.
+func (c *Ctx) do(o op) {
 	if !c.yield(o) {
 		panic(stopped{})
 	}
-	return c.now
 }
 
-// Now returns the core's current simulated time.
-func (c *Ctx) Now() sim.Time { return c.now }
+// batchesOff turns Begin and End into no-ops; see SetBatches.
+var batchesOff atomic.Bool
+
+// SetBatches turns batching on or off, process-wide, for the runs that start
+// after it, and returns the previous setting. With batching off, Begin and
+// End do nothing and every operation is its own handoff. A batch that obeys
+// Begin's rule gives the same results either way, which is how tests check a
+// workload's batches; it is not meant for production use.
+func SetBatches(on bool) (was bool) { return !batchesOff.Swap(!on) }
+
+// Begin opens a batch: the operations the program issues until End are
+// queued instead of handed to the engine one at a time, and End hands them
+// over in one coroutine switch. Each operation is still modelled by its own
+// event at the same simulated time and in the same order as without the
+// batch, so results do not change; only the host cost of switching between
+// the engine and the program does.
+//
+// The rule that makes a batch legal: the host code between Begin and End
+// runs before any of the batch's operations is modelled, so it must not read
+// host state that other cores write (shared data read outside a lock, a
+// value published by another core, Now). Core-private data, and data that
+// stays fixed until a barrier outside the batch, are fine. This is the same
+// rule as for a workload that sets Runner.TagCoreUnits (ds.ParallelSafe).
+//
+// Batches do not nest, Now panics inside one, and a program must not return
+// with one open.
+func (c *Ctx) Begin() {
+	if c.noBatches {
+		return
+	}
+	if c.batching {
+		panic(fmt.Sprintf("program: core %d: Begin inside an open batch", c.ID))
+	}
+	if c.queue == nil { // bound once, on the core's first batch
+		c.queue = func(o op) bool {
+			c.buf = append(c.buf, o)
+			return true
+		}
+	}
+	c.batching, c.yield = true, c.queue
+}
+
+// End closes the batch Begin opened and returns once all its operations are
+// modelled, at the time the last one completes.
+func (c *Ctx) End() {
+	if c.noBatches {
+		return
+	}
+	if !c.batching {
+		panic(fmt.Sprintf("program: core %d: End without Begin", c.ID))
+	}
+	c.batching, c.yield = false, c.handoff
+	if len(c.buf) == 0 {
+		return
+	}
+	// Hand over the first operation; step takes the rest from buf and
+	// resumes this coroutine after the last one.
+	c.pos = 1
+	c.do(c.buf[0])
+	c.buf, c.pos = c.buf[:0], 0
+}
+
+// Now returns the core's current simulated time. It panics inside a batch,
+// whose host code runs before the batch's operations are modelled.
+func (c *Ctx) Now() sim.Time {
+	if c.batching {
+		panic(fmt.Sprintf("program: core %d: Now inside a batch", c.ID))
+	}
+	return c.now
+}
 
 // Compute models n instructions of local computation (1 instruction/cycle).
 func (c *Ctx) Compute(n int64) {
 	if n <= 0 {
 		return
 	}
-	c.do(op{kind: opCompute, n: n})
+	c.do(op{kind: opCompute, arg: uint64(n)})
 }
 
 // Read models a blocking load from addr.
-func (c *Ctx) Read(addr uint64) { c.do(op{kind: opRead, addr: addr}) }
+func (c *Ctx) Read(addr uint64) { c.do(op{kind: opRead, arg: addr}) }
 
 // Write models a blocking store to addr.
-func (c *Ctx) Write(addr uint64) { c.do(op{kind: opWrite, addr: addr}) }
+func (c *Ctx) Write(addr uint64) { c.do(op{kind: opWrite, arg: addr}) }
 
 // Sync issues a raw synchronization request.
 func (c *Ctx) Sync(req arch.SyncReq) { c.do(op{kind: opSync, req: req}) }

@@ -205,24 +205,32 @@ func newBFS(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 						if !active[v] {
 							continue
 						}
+						// A batch is open at the top of every neighbour: the
+						// first neighbour's compute and unlocked read join
+						// the vertex's own ops, each later pair is one
+						// handoff. The check of dist, which other cores
+						// write, follows End.
+						ctx.Begin()
 						ctx.Read(ly.data[v])
 						ly.ReadAdj(ctx, v)
 						ctx.Compute(vertexInstrs)
 						for _, nb := range g.Adj[v] {
 							ctx.Compute(edgeInstrs)
 							ctx.Read(ly.data[nb]) // unlocked check first
-							if dist[nb] >= 0 {
-								continue
+							ctx.End()             // other cores write dist
+							if dist[nb] < 0 {
+								ctx.Lock(ly.lock[nb])
+								if dist[nb] < 0 { // recheck under the lock
+									dist[nb] = dist[v] + 1
+									ctx.Write(ly.data[nb])
+									next[nb] = true
+									anyNext = true
+								}
+								ctx.Unlock(ly.lock[nb])
 							}
-							ctx.Lock(ly.lock[nb])
-							if dist[nb] < 0 { // recheck under the lock
-								dist[nb] = dist[v] + 1
-								ctx.Write(ly.data[nb])
-								next[nb] = true
-								anyNext = true
-							}
-							ctx.Unlock(ly.lock[nb])
+							ctx.Begin()
 						}
+						ctx.End()
 					}
 				})
 			}
@@ -283,12 +291,16 @@ func newCC(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 				mine := ly.Mine(m, ctx.ID)
 				rd.run(ctx, n, func(round int) {
 					for _, v := range mine {
+						// Batched as in bfs: a batch is open at the top of
+						// every neighbour.
+						ctx.Begin()
 						ctx.Read(ly.data[v])
 						ly.ReadAdj(ctx, v)
 						ctx.Compute(vertexInstrs)
 						for _, nb := range g.Adj[v] {
 							ctx.Compute(edgeInstrs)
 							ctx.Read(ly.data[nb]) // unlocked check first
+							ctx.End()             // other cores write label
 							if label[v] < label[nb] {
 								ctx.Lock(ly.lock[nb])
 								if label[v] < label[nb] {
@@ -298,7 +310,9 @@ func newCC(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 								}
 								ctx.Unlock(ly.lock[nb])
 							}
+							ctx.Begin()
 						}
+						ctx.End()
 					}
 				})
 			}
@@ -347,9 +361,14 @@ func newSSSP(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 						if dist[v] >= inf {
 							continue
 						}
+						// Only the vertex's own ops batch: each edge reads
+						// dist[v], which other cores lower, between its
+						// compute and its read.
+						ctx.Begin()
 						ctx.Read(ly.data[v])
 						ly.ReadAdj(ctx, v)
 						ctx.Compute(vertexInstrs)
+						ctx.End()
 						for _, nb := range g.Adj[v] {
 							ctx.Compute(edgeInstrs)
 							nd := dist[v] + edgeWeight(int32(v), nb)
@@ -413,8 +432,12 @@ func newPR(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 				rd.run(ctx, n, func(round int) {
 					// CRONO-style iteration: gather neighbor ranks (reads on
 					// the shared read-write output array), then update the
-					// own vertex's entry under its fine-grained lock.
+					// own vertex's entry under its fine-grained lock. Each
+					// vertex is one batch: rank is double-buffered, so no
+					// core writes it before the round's barrier, and only
+					// this core writes next[v].
 					for _, v := range mine {
+						ctx.Begin()
 						ly.ReadAdj(ctx, v)
 						ctx.Compute(vertexInstrs)
 						sum := 0.0
@@ -429,6 +452,7 @@ func newPR(m *arch.Machine, ly *Layout, cfg RunConfig) *App {
 						next[v] = 0.15/float64(g.N) + 0.85*sum
 						ctx.Write(ly.data[v])
 						ctx.Unlock(ly.lock[v])
+						ctx.End()
 					}
 				})
 			}
@@ -465,7 +489,10 @@ func newTF(m *arch.Machine, ly *Layout) *App {
 				// Count each vertex's teenage followers by scanning its
 				// neighborhood, then update the shared counter under the
 				// vertex's lock (lock-only app: no barriers, Table 6).
+				// Each vertex is one batch: its host code reads only the
+				// fixed graph, and only this core writes count[v].
 				for _, v := range mine {
+					ctx.Begin()
 					ly.ReadAdj(ctx, v)
 					ctx.Compute(vertexInstrs)
 					teen := int32(0)
@@ -482,6 +509,7 @@ func newTF(m *arch.Machine, ly *Layout) *App {
 						ctx.Write(ly.data[v])
 						ctx.Unlock(ly.lock[v])
 					}
+					ctx.End()
 				}
 			}
 		})
@@ -515,7 +543,9 @@ func newTC(m *arch.Machine, ly *Layout) *App {
 		r.AddN(n, func(i int) program.Program {
 			return func(ctx *program.Ctx) {
 				mine := ly.Mine(m, ctx.ID)
+				// Each vertex is one batch, as in tf.
 				for _, v := range mine {
+					ctx.Begin()
 					ly.ReadAdj(ctx, v)
 					ctx.Compute(vertexInstrs)
 					tri := int64(0)
@@ -536,6 +566,7 @@ func newTC(m *arch.Machine, ly *Layout) *App {
 						ctx.Write(ly.data[v])
 						ctx.Unlock(ly.lock[v])
 					}
+					ctx.End()
 				}
 				ctx.BarrierAcrossUnits(bar, n)
 			}

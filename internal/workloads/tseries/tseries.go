@@ -110,11 +110,18 @@ func New(m *arch.Machine, s *Series) *Workload {
 // standard SCRIMP update pattern — still lock-heavy early on, when the
 // profile is all +Inf and most comparisons improve it).
 func (w *Workload) update(ctx *program.Ctx, i int, d float64) {
-	line := i / 8
-	ctx.Read(w.outData[line])
+	ctx.Read(w.outData[i/8])
+	w.fold(ctx, i, d)
+}
+
+// fold is update after its unlocked read: the check, and the locked write
+// if d improves profile[i]. Other cores write profile, so the check must
+// follow the read's modelling, outside any batch.
+func (w *Workload) fold(ctx *program.Ctx, i int, d float64) {
 	if d >= w.profile[i] {
 		return
 	}
+	line := i / 8
 	ctx.Lock(w.outLock[line])
 	if d < w.profile[i] { // recheck under the lock
 		w.profile[i] = d
@@ -133,6 +140,12 @@ func (w *Workload) Build(m *arch.Machine, r *program.Runner) {
 		return func(ctx *program.Ctx) {
 			unit := m.UnitOf(ctx.ID)
 			for d := w.exclZone + 1 + core; d < np; d += n {
+				// A batch is open at the top of every element and holds its
+				// input read, compute and the row update's unlocked read
+				// (the first element's also the diagonal's first ops); the
+				// host code among them reads only the fixed series. The
+				// checks of profile, which other cores write, follow End.
+				ctx.Begin()
 				// First element of the diagonal: full dot product.
 				ctx.Read(w.inBase[unit])
 				ctx.Compute(int64(w.s.Window))
@@ -142,9 +155,13 @@ func (w *Workload) Build(m *arch.Machine, r *program.Runner) {
 					ctx.Read(w.inBase[unit] + uint64((i%len(w.s.Values))*8/64*64))
 					ctx.Compute(16)
 					dist := w.s.dist(i, i+d)
-					w.update(ctx, i, dist)
+					ctx.Read(w.outData[i/8])
+					ctx.End()
+					w.fold(ctx, i, dist)
 					w.update(ctx, i+d, dist)
+					ctx.Begin()
 				}
+				ctx.End()
 			}
 			ctx.BarrierAcrossUnits(w.barrier, n)
 		}

@@ -50,12 +50,15 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 	switch cfg.Primitive {
 	case Lock:
 		// Empty critical section; interval of work between acquisitions.
+		// No host code reads shared state, so each round is one batch.
 		r.AddN(n, func(i int) program.Program {
 			return func(ctx *program.Ctx) {
 				for k := 0; k < cfg.Rounds; k++ {
+					ctx.Begin()
 					ctx.Lock(v)
 					ctx.Unlock(v)
 					ctx.Compute(cfg.Interval)
+					ctx.End()
 				}
 			}
 		})
@@ -63,8 +66,10 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 		r.AddN(n, func(i int) program.Program {
 			return func(ctx *program.Ctx) {
 				for k := 0; k < cfg.Rounds; k++ {
+					ctx.Begin()
 					ctx.Compute(cfg.Interval)
 					ctx.BarrierAcrossUnits(v, n)
+					ctx.End()
 				}
 			}
 		})
@@ -75,15 +80,19 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 			if i < half {
 				return func(ctx *program.Ctx) {
 					for k := 0; k < cfg.Rounds; k++ {
+						ctx.Begin()
 						ctx.SemWait(v, 0)
 						ctx.Compute(cfg.Interval)
+						ctx.End()
 					}
 				}
 			}
 			return func(ctx *program.Ctx) {
 				for k := 0; k < cfg.Rounds; k++ {
+					ctx.Begin()
 					ctx.SemPost(v)
 					ctx.Compute(cfg.Interval)
+					ctx.End()
 				}
 			}
 		})
@@ -92,32 +101,42 @@ func Build(m *arch.Machine, r *program.Runner, cfg Config) {
 		// absorbed by the count.
 	case CondVar:
 		// Half wait on the condition, half signal; a token counter gives
-		// Mesa-safe semantics (no lost wakeups).
+		// Mesa-safe semantics (no lost wakeups). The token counter is shared,
+		// so each round's unlock, compute and next lock form one batch that
+		// ends once the lock is held again.
 		lock := m.Alloc(0, 64)
 		half := n / 2
 		tokens := 0
 		r.AddN(n, func(i int) program.Program {
 			if i < half {
 				return func(ctx *program.Ctx) {
+					ctx.Begin()
 					for k := 0; k < cfg.Rounds; k++ {
 						ctx.Lock(lock)
+						ctx.End()
 						for tokens == 0 {
 							ctx.CondWait(v, lock)
 						}
 						tokens--
+						ctx.Begin()
 						ctx.Unlock(lock)
 						ctx.Compute(cfg.Interval)
 					}
+					ctx.End()
 				}
 			}
 			return func(ctx *program.Ctx) {
+				ctx.Begin()
 				for k := 0; k < cfg.Rounds; k++ {
 					ctx.Lock(lock)
+					ctx.End()
 					tokens++
+					ctx.Begin()
 					ctx.CondSignal(v, lock)
 					ctx.Unlock(lock)
 					ctx.Compute(cfg.Interval)
 				}
+				ctx.End()
 			}
 		})
 	default:

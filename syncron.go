@@ -302,7 +302,8 @@ func resolveParallelism(p, simUnits int) int {
 // Context is the interface a simulated core's program uses; see
 // program.Ctx for the full method set (Compute, Read, Write, Lock, Unlock,
 // BarrierWithinUnit, BarrierAcrossUnits, SemWait, SemPost, CondWait,
-// CondSignal, CondBroadcast, FetchAdd, Now).
+// CondSignal, CondBroadcast, FetchAdd, Now, and Begin/End to batch
+// operations into one host handoff).
 type Context = program.Ctx
 
 // Program is one simulated core's code.
